@@ -20,11 +20,10 @@ go vet ./...
 go build ./...
 go test ./...
 # The harness race pass includes the engine-equivalence suite
-# (TestEngineEquivalence*) over the full five-variant matrix: the
-# per-instruction reference interpreter, the batched fast path, and the AOT
-# threaded-code engine, with the fast and AOT engines run both with and
-# without the sim.FastPort cached-hit path (the /noport axis) — all must
-# produce byte-identical results, including Fork/RunUntil mid-run state and
+# (TestEngineEquivalence*) over the full three-variant matrix: the
+# per-instruction reference interpreter and the AOT threaded-code engine,
+# the latter run both with and without the sim.FastPort cached-hit path
+# (aot and aot/noport) — all must produce byte-identical results, including Fork/RunUntil mid-run state and
 # the fuzzer-generated programs, under the race detector too. The
 # snapshot/mem pass exercises the copy-on-write fork machinery (refcounted
 # pages, concurrent fork workers) under the race detector; power rides along
@@ -76,6 +75,9 @@ rm -f /tmp/nachobench.ci /tmp/nachobench.ci.trace /tmp/nachobench.ci.ledger
 # a fixed-seed campaign run twice — the report must be byte-identical, and
 # a finding (non-zero exit) fails the gate.
 go test -run Fuzz -fuzz FuzzDifferentialNACHO -fuzztime 10s ./internal/fuzzer/
+# Schedule keys arrive over /jobs: ParseKey must never panic, and every key
+# it accepts must be a Key() fixed point.
+go test -run FuzzParseKey -fuzz FuzzParseKey -fuzztime 5s ./internal/power/
 go build -o /tmp/nachofuzz.ci ./cmd/nachofuzz
 /tmp/nachofuzz.ci -seeds 64 2>/dev/null >/tmp/nachofuzz.ci.1
 /tmp/nachofuzz.ci -seeds 64 2>/dev/null >/tmp/nachofuzz.ci.2

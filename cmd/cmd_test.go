@@ -325,11 +325,21 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"nachoasm unwritable -o", asm, []string{"-o", "/nonexistent-dir/out.bin", src},
 			[]string{"nachoasm:", "/nonexistent-dir/out.bin"}},
 		{"nachosim unknown engine", sim, []string{"-bench", "crc", "-engine", "bogus-engine"},
-			[]string{"nachosim:", "bogus-engine", "auto, ref, fast, aot"}},
+			[]string{"nachosim:", "bogus-engine", "auto, ref, aot"}},
 		{"nachobench unknown engine", bench, []string{"-engine", "bogus-engine"},
-			[]string{"nachobench:", "bogus-engine", "auto, ref, fast, aot"}},
+			[]string{"nachobench:", "bogus-engine", "auto, ref, aot"}},
 		{"nachofuzz unknown engine", fuzz, []string{"-engine", "bogus-engine"},
-			[]string{"nachofuzz:", "bogus-engine", "auto, ref, fast, aot"}},
+			[]string{"nachofuzz:", "bogus-engine", "auto, ref, aot"}},
+		// The batched engine and its -no-fastpath alias were removed: both
+		// spellings must be rejected by name, never silently remapped.
+		{"nachosim removed engine fast", sim, []string{"-bench", "crc", "-engine", "fast"},
+			[]string{"nachosim:", `unknown engine "fast"`, "auto, ref, aot"}},
+		{"nachobench removed engine fast", bench, []string{"-engine", "fast"},
+			[]string{"nachobench:", `unknown engine "fast"`, "auto, ref, aot"}},
+		{"nachofuzz removed engine fast", fuzz, []string{"-engine", "fast"},
+			[]string{"nachofuzz:", `unknown engine "fast"`, "auto, ref, aot"}},
+		{"nachosim removed -no-fastpath", sim, []string{"-bench", "crc", "-no-fastpath"},
+			[]string{"flag provided but not defined: -no-fastpath", "Usage"}},
 		{"nachofuzz unknown system", fuzz, []string{"-systems", "no-such-system"},
 			[]string{"nachofuzz:", "no-such-system"}},
 		{"nachofuzz volatile rejected", fuzz, []string{"-systems", "volatile"},
@@ -361,14 +371,13 @@ func TestCLIErrorPaths(t *testing.T) {
 
 // TestNachosimEngineSelection pins the -engine flag's contract: every named
 // engine produces byte-identical output (the engine is a performance knob,
-// never a semantics knob), and the deprecated -no-fastpath spelling still
-// works as an alias for the reference engine.
+// never a semantics knob).
 func TestNachosimEngineSelection(t *testing.T) {
 	bin := build(t, "cmd/nachosim")
 	args := []string{"-bench", "crc", "-system", "nacho", "-onduration", "1"}
 
 	outputs := map[string]string{}
-	for _, engine := range []string{"auto", "ref", "fast", "aot"} {
+	for _, engine := range []string{"auto", "ref", "aot"} {
 		out, err := run(t, bin, append([]string{"-engine", engine}, args...)...)
 		if err != nil {
 			t.Fatalf("-engine %s: %v\n%s", engine, err, out)
@@ -379,14 +388,6 @@ func TestNachosimEngineSelection(t *testing.T) {
 		if out != outputs["ref"] {
 			t.Errorf("-engine %s output differs from -engine ref:\n%s\nvs\n%s", engine, out, outputs["ref"])
 		}
-	}
-
-	out, err := run(t, bin, append([]string{"-no-fastpath"}, args...)...)
-	if err != nil {
-		t.Fatalf("-no-fastpath: %v\n%s", err, out)
-	}
-	if out != outputs["ref"] {
-		t.Errorf("-no-fastpath output differs from -engine ref:\n%s\nvs\n%s", out, outputs["ref"])
 	}
 }
 

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"nacho"
+	"nacho/internal/emu"
 	"nacho/internal/jobs"
 	"nacho/internal/profiling"
 )
@@ -46,7 +47,7 @@ func main() {
 		csv     = flag.Bool("csv", false, "emit CSV (the original artifact's log format) instead of tables")
 		j       = flag.Int("j", 0, "parallel simulation workers (0 = all CPUs, 1 = sequential)")
 		timings = flag.Bool("timings", true, "print per-experiment timing summaries to stderr")
-		engine  = flag.String("engine", "auto", "execution engine for all simulations: auto, ref, fast, or aot")
+		engine  = flag.String("engine", "auto", "execution engine for all simulations: "+emu.Engines)
 		serve   = flag.String("serve", "", "serve live telemetry (/metrics, /status, /dashboard, /debug/pprof) on this address during the sweep")
 
 		storeDir  = flag.String("store", "", "persistent content-addressed run store directory (results survive restarts; warm re-runs execute nothing)")

@@ -48,7 +48,7 @@ func main() {
 		schedules  = flag.Int("schedules", 3, "randomized failure schedules per (program, system)")
 		cacheSize  = flag.Int("cache", 512, "data cache size in bytes")
 		ways       = flag.Int("ways", 2, "cache associativity")
-		engineName = flag.String("engine", "auto", "execution engine under test: auto, ref, fast, or aot")
+		engineName = flag.String("engine", "auto", "execution engine under test: "+emu.Engines)
 		duration   = flag.Duration("duration", 0, "stop after this wall time (0 = run all seeds; makes the report non-deterministic)")
 		minimize   = flag.Bool("minimize", true, "delta-debug findings before reporting")
 		outDir     = flag.String("out", "", "write replayable finding artifacts to this directory")

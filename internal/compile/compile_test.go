@@ -172,6 +172,22 @@ func TestALURunLengths(t *testing.T) {
 	if p.Stats.Batchable != 4 {
 		t.Fatalf("Stats.Batchable = %d, want 4", p.Stats.Batchable)
 	}
+
+	// Writes to x0 (discarded) and sp (stack guard, SP notification) need
+	// per-instruction handling, so they break runs.
+	p = compileOne(t, alu,
+		isa.Instr{Op: isa.ADDI, Rd: isa.Zero, Rs1: r(5), Imm: 1},
+		alu,
+		isa.Instr{Op: isa.ADDI, Rd: isa.SP, Rs1: isa.SP, Imm: -16},
+		isa.Instr{Op: isa.ADD, Rd: isa.SP, Rs1: isa.SP, Rs2: r(5)},
+		alu,
+	)
+	want = []uint32{1, 0, 1, 0, 0, 1}
+	for i, w := range want {
+		if got := p.Code[i].Run; got != w {
+			t.Fatalf("special destinations: Run[%d] = %d, want %d", i, got, w)
+		}
+	}
 }
 
 func TestWidth(t *testing.T) {

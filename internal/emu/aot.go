@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nacho/internal/compile"
+	"nacho/internal/isa"
 	"nacho/internal/mem"
 	"nacho/internal/power"
 	"nacho/internal/sim"
@@ -17,9 +18,10 @@ import (
 // bounds check on sequential flow, and direct-port memory access where the
 // system offers one.
 //
-// Correctness is an extension of the fast path's safe-horizon argument.
-// The outer loop (runSliceAOT) runs the exact per-boundary checks of
-// runSliceRef. Before entering the inline dispatch loop it computes a guard:
+// Correctness rests on a safe-horizon argument and on the determinism of
+// the cost model. The outer loop (runSliceAOT) runs the exact per-boundary
+// checks of runSliceRef. Before entering the inline dispatch loop it
+// computes a guard from the safe horizon (batchHorizon):
 // the smallest cycle at which any boundary event — power failure, cycle
 // budget, forced-checkpoint trigger, RunUntil stop-point — could fire,
 // pulled back by the width of the largest superinstruction. Below the guard
@@ -32,8 +34,8 @@ import (
 // (stepChecked), and the machine commits m.pc before every call that can
 // advance the clock, so checkpoint register snapshots and mid-access power
 // failures observe exactly the reference interpreter's in-flight state.
-// The three-way engine-equivalence suite in internal/harness enforces all of
-// this rather than trusting the argument.
+// The engine-equivalence suite in internal/harness enforces all of this
+// rather than trusting the argument.
 //
 // For speed the dispatch loop mirrors the cycle and instruction counters in
 // local variables (registers), so guard checks and base-cycle charging never
@@ -54,40 +56,107 @@ import (
 // cycles) between guard checks, so the guard is pulled back by width-1.
 const aotMaxWidth = 2
 
-// aotGuard returns the inline window's cycle bound: while m.cycle is
-// strictly below it, no per-boundary event can fire even across a full
-// superinstruction. A zero return means the window is empty and the next
-// instruction must take the reference step. Mirrors batchHorizon bound for
-// bound; all arithmetic saturates rather than wraps.
-func (m *Machine) aotGuard(maxCycles, period, margin uint64) uint64 {
-	u := uint64(power.NoFailure)
-	if m.failEnabled {
-		if m.nextFailure <= m.cycle {
+// horizonInputs captures the machine state batchHorizon reads, so the
+// horizon arithmetic is a pure function pinned by table-driven tests.
+type horizonInputs struct {
+	run          uint64 // upper bound on the horizon (> 0)
+	cycle        uint64
+	instructions uint64 // retired so far; caller checked < maxInstr
+	failEnabled  bool
+	nextFailure  uint64
+	maxCycles    uint64 // 0 = unbounded; caller checked cycle < maxCycles
+	maxInstr     uint64
+	period       uint64 // 0 = no forced checkpoints
+	margin       uint64
+	nextForced   uint64
+	stopAt       uint64 // 0 = no RunUntil bound; caller checked cycle < stopAt
+}
+
+// batchHorizon returns the safe horizon: the largest k ≤ run such that
+// executing k one-cycle instructions from here triggers none of the
+// per-instruction events. Each bound mirrors one reference-path check; when
+// the horizon is 0 the reference step handles the instruction, including
+// raising the power failure, forced checkpoint, or error at the exact same
+// instant with the exact same state. All arithmetic saturates: near-2^64
+// inputs (NoFailure-adjacent cycles, margin exceeding nextForced) must
+// shrink the horizon to 0, never wrap to a huge bogus one.
+func batchHorizon(in horizonInputs) uint64 {
+	k := in.run
+	if in.failEnabled {
+		// Instruction i advances the clock to cycle+i+1, which must stay
+		// strictly before the failure instant.
+		if in.nextFailure <= in.cycle {
 			return 0
 		}
-		// Base cycles inside the window must stay strictly before the
-		// failure instant (Advance panics at nextFailure).
-		u = m.nextFailure - 1
-	}
-	if maxCycles > 0 && maxCycles < u {
-		u = maxCycles
-	}
-	if period > 0 && m.nextForced != power.NoFailure {
-		t := uint64(0)
-		if margin < m.nextForced {
-			t = m.nextForced - margin
-		}
-		if t < u {
-			u = t
+		if h := in.nextFailure - in.cycle - 1; h < k {
+			k = h
 		}
 	}
-	if m.stopAt != 0 && m.stopAt < u {
-		u = m.stopAt
+	if in.maxCycles > 0 {
+		if h := in.maxCycles - in.cycle; h < k {
+			k = h
+		}
 	}
+	if h := in.maxInstr - in.instructions; h < k {
+		k = h
+	}
+	if in.period > 0 && in.nextForced != power.NoFailure {
+		// Instruction i issues at cycle+i, which must stay below the forced
+		// trigger satAdd(cycle+i, margin) >= nextForced. When cycle+margin
+		// already reaches nextForced (or saturates) the horizon is 0; the
+		// guarded form cannot underflow the way nextForced-margin-cycle did.
+		h := uint64(0)
+		if t := satAdd(in.cycle, in.margin); t < in.nextForced {
+			h = in.nextForced - in.margin - in.cycle
+		}
+		if h < k {
+			k = h
+		}
+	}
+	if in.stopAt != 0 {
+		if h := in.stopAt - in.cycle; h < k {
+			k = h
+		}
+	}
+	return k
+}
+
+// aotGuard returns the inline window's cycle bound: while m.cycle is
+// strictly below it, no per-boundary event can fire even across a full
+// superinstruction. It is the cycle-domain safe horizon (batchHorizon over
+// the rest of the cycle domain; the instruction limit is bounded separately
+// by the caller's instrGuard) pulled back by the width of the widest
+// superinstruction. A return at or below m.cycle means the window is empty
+// and the next instruction must take the reference step.
+func (m *Machine) aotGuard(maxCycles, period, margin uint64) uint64 {
+	u := m.cycle + batchHorizon(horizonInputs{
+		run:         power.NoFailure - m.cycle,
+		cycle:       m.cycle,
+		failEnabled: m.failEnabled,
+		nextFailure: m.nextFailure,
+		maxCycles:   maxCycles,
+		maxInstr:    power.NoFailure,
+		period:      period,
+		margin:      margin,
+		nextForced:  m.nextForced,
+		stopAt:      m.stopAt,
+	})
 	if u < aotMaxWidth-1 {
 		return 0
 	}
 	return u - (aotMaxWidth - 1)
+}
+
+// stepChecked is one reference-path instruction plus the stack-fault check
+// that follows every step.
+func (m *Machine) stepChecked() error {
+	if err := m.step(); err != nil {
+		return err
+	}
+	if m.stackFault {
+		return fmt.Errorf("emu: stack pointer 0x%08x left the stack region at pc=0x%08x", m.regs[isa.SP], m.pc)
+	}
+	return nil
 }
 
 // runSliceAOT executes the compiled IR until halt or the next power failure.

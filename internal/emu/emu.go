@@ -72,18 +72,11 @@ type Config struct {
 	// A probe overrides the selection with EngineRef — the reference
 	// interpreter is the sole emitter of per-instruction events.
 	Engine Engine
-	// NoFastPath forces the per-instruction reference interpreter even when
-	// no probe is attached.
-	//
-	// Deprecated: set Engine to EngineRef instead. The flag is kept as an
-	// alias for older callers and is consulted only while Engine is
-	// EngineAuto.
-	NoFastPath bool
-	// NoFastPort makes the AOT and batched engines route every data access
-	// through the full sim.System interface instead of consulting the
-	// system's sim.FastPort hit path. Results are byte-identical either way
-	// (the equivalence suite runs both sides of this axis); the knob exists
-	// for debugging, for that suite, and for measuring the fast path's gain.
+	// NoFastPort makes the AOT engine route every data access through the
+	// full sim.System interface instead of consulting the system's
+	// sim.FastPort hit path. Results are byte-identical either way (the
+	// equivalence suite runs both sides of this axis); the knob exists for
+	// debugging, for that suite, and for measuring the fast port's gain.
 	NoFastPort bool
 }
 
@@ -109,7 +102,6 @@ type Machine struct {
 	pc   uint32
 
 	text      []isa.Instr
-	aluRun    []uint32         // batched fast-path run table (see Text)
 	prog      *compile.Program // AOT threaded-code IR (see Text)
 	engine    Engine           // resolved engine (never EngineAuto)
 	textBase  uint32
@@ -161,7 +153,7 @@ var errPowerFail = errors.New("power failure")
 // forward-progress loss from ordinary program errors.
 var ErrCycleBudget = errors.New("cycle budget exceeded")
 
-// New creates a machine executing the pre-analyzed text segment at textBase,
+// New creates a machine executing the compiled text segment at textBase,
 // starting at entry with the stack pointer at initialSP. The system is
 // attached (clock, registers, counters) and its boot checkpoint initialized.
 func New(sys sim.System, text *Text, textBase, entry, initialSP uint32, cfg Config) *Machine {
@@ -188,7 +180,6 @@ func New(sys sim.System, text *Text, textBase, entry, initialSP uint32, cfg Conf
 	}
 	m := &Machine{
 		text:      text.Instrs,
-		aluRun:    text.aluRun,
 		prog:      text.prog,
 		engine:    cfg.effectiveEngine(),
 		textBase:  textBase,
@@ -209,9 +200,37 @@ func New(sys sim.System, text *Text, textBase, entry, initialSP uint32, cfg Conf
 	return m
 }
 
-// DecodeText decodes an assembled text segment into instructions and runs
-// the batched-execution pre-analysis (basic blocks and ALU run lengths) on
-// them, so the cost is paid once per image rather than once per run.
+// Text is a decoded text segment plus its AOT-compiled IR. The text segment
+// is immutable for the life of a run (there is no self-modifying code:
+// stores to the text range would go through the memory system, which the
+// loader never maps over text), so the compilation is done once per image
+// and shared by every run of it. Build one with DecodeText (from assembled
+// bytes) or NewText (from in-memory instructions); the zero value is an
+// empty segment.
+type Text struct {
+	// Instrs is the decoded instruction sequence, one entry per word.
+	Instrs []isa.Instr
+
+	// prog is the AOT-compiled threaded-code IR (internal/compile). The IR
+	// is immutable after compilation.
+	prog *compile.Program
+}
+
+// NewText compiles an instruction sequence into a Text. The slice is
+// retained, not copied; callers must not mutate it afterwards.
+func NewText(instrs []isa.Instr) *Text {
+	return &Text{Instrs: instrs, prog: compile.Compile(instrs)}
+}
+
+// Compiled exposes the AOT IR program (tests and tooling).
+func (t *Text) Compiled() *compile.Program { return t.prog }
+
+// Len returns the number of instructions in the segment.
+func (t *Text) Len() int { return len(t.Instrs) }
+
+// DecodeText decodes an assembled text segment into instructions and
+// compiles them (NewText), so the cost is paid once per image rather than
+// once per run.
 func DecodeText(data []byte) (*Text, error) {
 	if len(data)%4 != 0 {
 		return nil, fmt.Errorf("emu: text size %d is not word-aligned", len(data))
@@ -348,8 +367,9 @@ func (m *Machine) RunUntil(target uint64) (halted bool, err error) {
 // state), and the fork's next failure instant is sched.NextFailureAfter(now)
 // — so a fork of a failure-free prefix at cycle c under power.At(t), t > c,
 // is state-identical to a from-boot run under the same schedule at cycle c.
-// Forks are probe-free (they run on the batched fast path) and safe to run
-// on another goroutine. The parent must be paused (between RunUntil calls).
+// Forks are probe-free (they run on the configured engine, AOT by default)
+// and safe to run on another goroutine. The parent must be paused (between
+// RunUntil calls).
 func (m *Machine) Fork(sched power.Schedule) (*Machine, error) {
 	fsys, ok := m.sys.(sim.Forkable)
 	if !ok {
@@ -386,8 +406,7 @@ func (m *Machine) Halted() bool { return m.halted }
 // engine is selected once per slice: a probed run always takes the
 // per-instruction reference path (the sole emitter of per-instruction
 // events); otherwise the resolved Config.Engine picks the AOT IR
-// interpreter, the batched ALU fast path, or the reference loop. Every
-// engine produces byte-identical results.
+// interpreter or the reference loop. Both produce byte-identical results.
 func (m *Machine) runSlice() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -398,26 +417,16 @@ func (m *Machine) runSlice() (err error) {
 			panic(r)
 		}
 	}()
-	if m.probe != nil {
-		return m.runSliceRef()
-	}
-	switch m.engine {
-	case EngineAOT:
+	if m.probe == nil && m.engine == EngineAOT {
 		return m.runSliceAOT()
-	case EngineFast:
-		if m.aluRun != nil {
-			return m.runSliceFast()
-		}
-		return m.runSliceRef()
-	default:
-		return m.runSliceRef()
 	}
+	return m.runSliceRef()
 }
 
 // runSliceRef is the per-instruction reference loop: every instruction pays
 // the limit, budget, and forced-checkpoint checks individually. It is the
-// behavioral specification the batched fast path is tested against, and the
-// only loop that emits per-instruction probe events.
+// behavioral specification the AOT engine is tested against, and the only
+// loop that emits per-instruction probe events.
 func (m *Machine) runSliceRef() error {
 	for !m.halted {
 		if m.stopAt != 0 && m.cycle >= m.stopAt {

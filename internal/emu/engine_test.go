@@ -14,7 +14,6 @@ func TestParseEngine(t *testing.T) {
 		"":     emu.EngineAuto,
 		"auto": emu.EngineAuto,
 		"ref":  emu.EngineRef,
-		"fast": emu.EngineFast,
 		"aot":  emu.EngineAOT,
 	}
 	for s, want := range valid {
@@ -26,7 +25,9 @@ func TestParseEngine(t *testing.T) {
 			t.Fatalf("ParseEngine(%q) = %q, want %q", s, got, want)
 		}
 	}
-	for _, s := range []string{"bogus", "AOT", "reference", "jit"} {
+	// "fast" named the batched engine, since removed: it must be rejected
+	// by name rather than silently mapped to another engine.
+	for _, s := range []string{"bogus", "AOT", "reference", "jit", "fast"} {
 		_, err := emu.ParseEngine(s)
 		if err == nil {
 			t.Fatalf("ParseEngine(%q) accepted", s)
@@ -47,11 +48,10 @@ func TestResolveEngine(t *testing.T) {
 		want emu.Engine
 	}{
 		{"auto picks aot", emu.Config{}, emu.EngineAOT},
-		{"deprecated no-fastpath forces ref", emu.Config{NoFastPath: true}, emu.EngineRef},
 		{"explicit ref", emu.Config{Engine: emu.EngineRef}, emu.EngineRef},
-		{"explicit fast", emu.Config{Engine: emu.EngineFast}, emu.EngineFast},
+		// The removed batched engine's spelling is an unknown value now.
+		{"explicit fast", emu.Config{Engine: emu.Engine("fast")}, emu.EngineRef},
 		{"explicit aot", emu.Config{Engine: emu.EngineAOT}, emu.EngineAOT},
-		{"explicit engine wins over no-fastpath", emu.Config{Engine: emu.EngineAOT, NoFastPath: true}, emu.EngineAOT},
 		{"unknown value degrades to ref", emu.Config{Engine: emu.Engine("bogus")}, emu.EngineRef},
 	}
 	for _, tc := range cases {
@@ -78,7 +78,7 @@ loop:
 	sw   t0, 0(sp)
 	bne  a0, a1, loop
 ` + epilogue
-	for _, engine := range []emu.Engine{emu.EngineRef, emu.EngineFast, emu.EngineAOT} {
+	for _, engine := range []emu.Engine{emu.EngineRef, emu.EngineAOT} {
 		t.Run(string(engine), func(t *testing.T) {
 			// run's assemble+DecodeText stage legitimately decodes each text
 			// word once; everything after the baseline snapshot inside the

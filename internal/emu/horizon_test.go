@@ -1,6 +1,6 @@
 package emu
 
-// White-box tests for the fast-path horizon arithmetic and the saturating
+// White-box tests for the AOT safe-horizon arithmetic and the saturating
 // forced-checkpoint bookkeeping: the regression suite for the unsigned
 // underflow/overflow family (NoFailure-adjacent cycles, margin exceeding
 // nextForced) that the pre-fix expressions `nextForced - margin - cycle` and
@@ -137,8 +137,8 @@ func TestForcedCheckpointArithmeticNearOverflow(t *testing.T) {
 		forced      uint64
 		x5          uint32
 	}
-	run := func(noFast bool) outcome {
-		cfg := Config{ForcedCheckpointPeriod: 4000, NoFastPath: noFast}
+	run := func(engine Engine) outcome {
+		cfg := Config{ForcedCheckpointPeriod: 4000, Engine: engine}
 		m := horizonTestMachine(t, systems.KindClank, 64, cfg)
 		// Park the clock near the top of the domain, mid-interval: the next
 		// forced checkpoint saturates.
@@ -147,7 +147,7 @@ func TestForcedCheckpointArithmeticNearOverflow(t *testing.T) {
 		m.failEnabled = false // Advance's cycle+n must not be asked to wrap
 		res, err := m.Run()
 		if err != nil {
-			t.Fatalf("run (noFast=%v): %v", noFast, err)
+			t.Fatalf("run (%s): %v", engine, err)
 		}
 		return outcome{
 			cycles:      res.Counters.Cycles,
@@ -156,10 +156,10 @@ func TestForcedCheckpointArithmeticNearOverflow(t *testing.T) {
 			x5:          res.FinalRegs.Regs[4], // x5
 		}
 	}
-	ref := run(true)
-	fast := run(false)
-	if ref != fast {
-		t.Fatalf("engines diverged near overflow: ref=%+v fast=%+v", ref, fast)
+	ref := run(EngineRef)
+	aot := run(EngineAOT)
+	if ref != aot {
+		t.Fatalf("engines diverged near overflow: ref=%+v aot=%+v", ref, aot)
 	}
 	if ref.forced == 0 {
 		t.Fatal("expected the in-zone forced checkpoint to fire")
@@ -174,16 +174,16 @@ func TestForcedCheckpointArithmeticNearOverflow(t *testing.T) {
 // sweep of targets — the property the snapshot-fork prefix machine relies on.
 func TestRunUntilEngineBoundaryEquivalence(t *testing.T) {
 	for target := uint64(0); target <= 70; target += 7 {
-		ref := horizonTestMachine(t, systems.KindVolatile, 64, Config{NoFastPath: true})
-		fast := horizonTestMachine(t, systems.KindVolatile, 64, Config{})
+		ref := horizonTestMachine(t, systems.KindVolatile, 64, Config{Engine: EngineRef})
+		aot := horizonTestMachine(t, systems.KindVolatile, 64, Config{Engine: EngineAOT})
 		rh, rerr := ref.RunUntil(target)
-		fh, ferr := fast.RunUntil(target)
-		if rerr != nil || ferr != nil {
-			t.Fatalf("target %d: errors ref=%v fast=%v", target, rerr, ferr)
+		ah, aerr := aot.RunUntil(target)
+		if rerr != nil || aerr != nil {
+			t.Fatalf("target %d: errors ref=%v aot=%v", target, rerr, aerr)
 		}
-		if rh != fh || ref.cycle != fast.cycle || ref.pc != fast.pc || ref.regs != fast.regs {
-			t.Fatalf("target %d: boundary diverged: ref(halted=%v cycle=%d pc=%#x) fast(halted=%v cycle=%d pc=%#x)",
-				target, rh, ref.cycle, ref.pc, fh, fast.cycle, fast.pc)
+		if rh != ah || ref.cycle != aot.cycle || ref.pc != aot.pc || ref.regs != aot.regs {
+			t.Fatalf("target %d: boundary diverged: ref(halted=%v cycle=%d pc=%#x) aot(halted=%v cycle=%d pc=%#x)",
+				target, rh, ref.cycle, ref.pc, ah, aot.cycle, aot.pc)
 		}
 		if !rh && ref.cycle < target {
 			t.Fatalf("target %d: stopped early at %d without halting", target, ref.cycle)
@@ -192,10 +192,10 @@ func TestRunUntilEngineBoundaryEquivalence(t *testing.T) {
 		if _, err := ref.Run(); err != nil {
 			t.Fatalf("resume ref: %v", err)
 		}
-		if _, err := fast.Run(); err != nil {
-			t.Fatalf("resume fast: %v", err)
+		if _, err := aot.Run(); err != nil {
+			t.Fatalf("resume aot: %v", err)
 		}
-		if ref.cycle != fast.cycle || ref.regs != fast.regs {
+		if ref.cycle != aot.cycle || ref.regs != aot.regs {
 			t.Fatalf("target %d: post-resume state diverged", target)
 		}
 	}

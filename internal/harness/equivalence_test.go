@@ -16,10 +16,9 @@ import (
 
 // The engine-equivalence suite is the enforcement behind the execution
 // engines' correctness claim: for every program, system, and failure
-// schedule, all three engines — the per-instruction reference interpreter,
-// the batched fast path, and the AOT threaded-code engine — and, on the two
-// non-reference engines, both settings of the sim.FastPort cached-hit axis,
-// must produce byte-identical results: exit code, result words, output,
+// schedule, both engines — the per-instruction reference interpreter and
+// the AOT threaded-code engine — and, on the AOT engine, both settings of
+// the sim.FastPort cached-hit axis, must produce byte-identical results: exit code, result words, output,
 // every counter including the cycle count, and the final register file.
 // Errors (cycle-budget aborts, stack faults) must also be identical, message
 // and all, because they encode the instant and pc at which the run died.
@@ -53,13 +52,11 @@ func (v engineVariant) String() string {
 
 // equivalenceVariants is the full engine × fast-port matrix; the reference
 // interpreter comes first so every other variant diffs against the
-// specification. The fast and AOT engines run both with and without the
-// system's sim.FastPort cached-hit path, making NoFastPort a fourth
-// equivalence axis alongside program, system, and schedule.
+// specification. The AOT engine runs both with and without the system's
+// sim.FastPort cached-hit path, making NoFastPort a fourth equivalence axis
+// alongside program, system, and schedule.
 var equivalenceVariants = []engineVariant{
 	{engine: emu.EngineRef},
-	{engine: emu.EngineFast},
-	{engine: emu.EngineFast, noPort: true},
 	{engine: emu.EngineAOT},
 	{engine: emu.EngineAOT, noPort: true},
 }
@@ -70,7 +67,6 @@ var equivalenceVariants = []engineVariant{
 func runBoth(t *testing.T, label string, img *program.Image, kind systems.Kind, cfg harness.RunConfig) emu.Result {
 	t.Helper()
 	cfg.Verify = false // a verifier probe would force the reference engine
-	cfg.NoFastPath = false
 	var ref emu.Result
 	var refErr error
 	for i, v := range equivalenceVariants {
@@ -189,11 +185,11 @@ func (l *eventLog) OnNVM(e sim.NVMEvent)            { l.add("nvm", e) }
 
 // TestEngineEquivalenceProbeStream pins two guarantees around instrumented
 // runs. First, attaching a probe always selects the reference engine, so the
-// event stream is identical whatever NoFastPath says — the historical trace
-// and probe formats cannot change under the fast path. Second, the fast
-// engine's un-instrumented result is identical to the instrumented reference
-// run's result: instrumentation observes the simulation without perturbing
-// it, and the fast path reproduces it exactly.
+// event stream is identical whatever engine is configured — the historical
+// trace and probe formats cannot change under the AOT engine. Second, the
+// AOT engine's un-instrumented result is identical to the instrumented
+// reference run's result: instrumentation observes the simulation without
+// perturbing it, and the AOT engine reproduces it exactly.
 func TestEngineEquivalenceProbeStream(t *testing.T) {
 	p, ok := program.ByName("crc")
 	if !ok {
@@ -212,18 +208,18 @@ func TestEngineEquivalenceProbeStream(t *testing.T) {
 	for _, kind := range []systems.Kind{systems.KindNACHO, systems.KindClank} {
 		var logs [2]*eventLog
 		var probed [2]emu.Result
-		for i, noFast := range []bool{false, true} {
+		for i, engine := range []emu.Engine{emu.EngineAuto, emu.EngineRef} {
 			logs[i] = &eventLog{}
 			cfg := base
 			cfg.Probe = logs[i]
-			cfg.NoFastPath = noFast
+			cfg.Engine = engine
 			probed[i], err = harness.RunImage(img, kind, cfg, false)
 			if err != nil {
-				t.Fatalf("%s probed (NoFastPath=%v): %v", kind, noFast, err)
+				t.Fatalf("%s probed (engine %q): %v", kind, engine, err)
 			}
 		}
 		if !reflect.DeepEqual(probed[0], probed[1]) {
-			t.Fatalf("%s: probed results differ across NoFastPath", kind)
+			t.Fatalf("%s: probed results differ across engines", kind)
 		}
 		if len(logs[0].events) == 0 {
 			t.Fatalf("%s: probe recorded no events", kind)
@@ -238,16 +234,14 @@ func TestEngineEquivalenceProbeStream(t *testing.T) {
 			t.Fatalf("%s: probe streams differ in length: %d vs %d", kind, len(logs[0].events), len(logs[1].events))
 		}
 
-		for _, engine := range []emu.Engine{emu.EngineFast, emu.EngineAOT} {
-			cfg := base
-			cfg.Engine = engine
-			res, err := harness.RunImage(img, kind, cfg, false)
-			if err != nil {
-				t.Fatalf("%s %s: %v", kind, engine, err)
-			}
-			if !reflect.DeepEqual(res, probed[0]) {
-				t.Fatalf("%s: %s un-instrumented result differs from instrumented reference:\n  %s:     %+v\n  probed: %+v", kind, engine, engine, res, probed[0])
-			}
+		cfg := base
+		cfg.Engine = emu.EngineAOT
+		res, err := harness.RunImage(img, kind, cfg, false)
+		if err != nil {
+			t.Fatalf("%s aot: %v", kind, err)
+		}
+		if !reflect.DeepEqual(res, probed[0]) {
+			t.Fatalf("%s: aot un-instrumented result differs from instrumented reference:\n  aot:    %+v\n  probed: %+v", kind, res, probed[0])
 		}
 	}
 }

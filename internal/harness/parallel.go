@@ -90,7 +90,7 @@ func keyFor(p *program.Program, kind systems.Kind, cfg RunConfig) runKey {
 		cost:                   cfg.Cost,
 		dirtyThreshold:         cfg.DirtyThreshold,
 		energyPrediction:       cfg.EnergyPrediction,
-		engine:                 emu.Config{Engine: cfg.Engine, NoFastPath: cfg.NoFastPath}.ResolveEngine(),
+		engine:                 cfg.resolvedEngine(),
 	}
 }
 
@@ -107,6 +107,11 @@ type cacheEntry struct {
 	done chan struct{}
 	res  emu.Result
 	err  error
+	// prewarmed marks a slot a prewarm worker filled and no assembly-pass
+	// request has claimed yet. The first claim is the request the prewarm
+	// ran on its behalf, so it is neither a hit nor a second ledger record:
+	// hit counts and the ledger come out the same whatever -j is.
+	prewarmed bool
 }
 
 // runCache deduplicates runs within one experiment so configurations shared
@@ -145,6 +150,12 @@ func newRunCache() *runCache {
 }
 
 func (rc *runCache) get(p *program.Program, kind systems.Kind, cfg RunConfig) (emu.Result, error) {
+	return rc.request(p, kind, cfg, false)
+}
+
+// request serves one run request; prewarm marks the requests the prewarm
+// workers issue ahead of the assembly pass.
+func (rc *runCache) request(p *program.Program, kind systems.Kind, cfg RunConfig, prewarm bool) (emu.Result, error) {
 	if cfg.Trace != nil || cfg.Probe != nil {
 		// Tracing and probing are side effects a cached result would swallow.
 		rc.mu.Lock()
@@ -165,6 +176,12 @@ func (rc *runCache) get(p *program.Program, kind systems.Kind, cfg RunConfig) (e
 	}
 	rc.mu.Lock()
 	if e, ok := rc.entries[key]; ok {
+		if e.prewarmed && !prewarm {
+			e.prewarmed = false
+			rc.mu.Unlock()
+			<-e.done
+			return e.res, e.err
+		}
 		rc.hits++
 		pool.cacheHits.Add(1)
 		rc.mu.Unlock()
@@ -175,7 +192,7 @@ func (rc *runCache) get(p *program.Program, kind systems.Kind, cfg RunConfig) (e
 		appendLedger(p.Name, kind, cfg, executedEngine(cfg), e.res, e.err, 0, outcomeCacheHit)
 		return e.res, e.err
 	}
-	e := &cacheEntry{done: make(chan struct{})}
+	e := &cacheEntry{done: make(chan struct{}), prewarmed: prewarm}
 	rc.entries[key] = e
 	rc.mu.Unlock()
 
@@ -221,7 +238,7 @@ func (rc *runCache) prewarm(jobs []job, nWorkers int) {
 			defer wg.Done()
 			for j := range ch {
 				workerStarted(worker, j)
-				rc.get(j.p, j.kind, j.cfg)
+				rc.request(j.p, j.kind, j.cfg, true)
 				workerDone(worker)
 			}
 		}(i)

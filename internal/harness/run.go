@@ -56,12 +56,6 @@ type RunConfig struct {
 	// a clean halt (see emu.Config.FinalFlush), so every surviving store is
 	// visible in NVM for post-run state comparison.
 	FinalFlush bool
-	// NoFastPath forces the emulator's per-instruction reference
-	// interpreter.
-	//
-	// Deprecated: set Engine to emu.EngineRef instead. Consulted only while
-	// Engine is emu.EngineAuto (see emu.Config).
-	NoFastPath bool
 	// Engine selects the execution engine (see emu.Engine). The zero value
 	// picks the fastest correct engine; the equivalence suite sets concrete
 	// engines to obtain each side of its comparison. Validate external input
@@ -76,6 +70,13 @@ type RunConfig struct {
 	// campaign tracer; zero attaches it to the tracer's ambient span. Purely
 	// observational: it is not part of the run-cache identity.
 	Span telemetry.SpanID
+}
+
+// resolvedEngine is the concrete engine the config selects (EngineAuto
+// resolved): the engine identity the run cache, the persistent store and
+// serialized run specs key on.
+func (cfg RunConfig) resolvedEngine() emu.Engine {
+	return emu.Config{Engine: cfg.Engine}.ResolveEngine()
 }
 
 // defaultEngine is the engine DefaultRunConfig selects. EngineAuto (the
@@ -242,7 +243,6 @@ func newMachineOn(space *mem.Space, img *program.Image, kind systems.Kind, cfg R
 		MaxCycles:              cfg.MaxCycles,
 		FinalFlush:             cfg.FinalFlush,
 		Probe:                  probe,
-		NoFastPath:             cfg.NoFastPath,
 		NoFastPort:             cfg.NoFastPort,
 		Engine:                 cfg.Engine,
 	})

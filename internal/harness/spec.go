@@ -54,7 +54,7 @@ func SpecFor(p *program.Program, kind systems.Kind, cfg RunConfig) RunSpec {
 	return RunSpec{
 		Program:                p.Name,
 		System:                 string(kind),
-		Engine:                 string(emu.Config{Engine: cfg.Engine, NoFastPath: cfg.NoFastPath}.ResolveEngine()),
+		Engine:                 string(cfg.resolvedEngine()),
 		Cache:                  cfg.CacheSize,
 		Ways:                   cfg.Ways,
 		Schedule:               scheduleKey(cfg),

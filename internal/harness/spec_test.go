@@ -58,6 +58,11 @@ func TestSpecResolveRejectsGarbage(t *testing.T) {
 		"system":   func(sp *RunSpec) { sp.System = "no-such-system" },
 		"schedule": func(sp *RunSpec) { sp.Schedule = "warp(9)" },
 		"engine":   func(sp *RunSpec) { sp.Engine = "turbo" },
+		// The removed batched engine's name must not resolve to anything.
+		"removed engine": func(sp *RunSpec) { sp.Engine = "fast" },
+		// Uniform bounds that used to panic inside the schedule's RNG.
+		"inverted uniform": func(sp *RunSpec) { sp.Schedule = "uniform(100,10,1)" },
+		"uniform overflow": func(sp *RunSpec) { sp.Schedule = "uniform(0,18446744073709551615,1)" },
 	} {
 		sp := good
 		mutate(&sp)

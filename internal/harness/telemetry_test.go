@@ -1,6 +1,10 @@
 package harness
 
 import (
+	"bytes"
+	"fmt"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -112,6 +116,80 @@ func TestTimingReportsBypassedRuns(t *testing.T) {
 	}
 	if strings.Contains(plain.Timing, "bypassed") {
 		t.Errorf("Timing mentions a bypass without probed runs: %q", plain.Timing)
+	}
+}
+
+// TestLedgerIndependentOfWorkers pins that the run ledger and the Timing
+// line's hit count do not depend on the worker count: a prewarmed entry's
+// first assembly-pass request is the request the prewarm served, so it
+// neither counts as a hit nor writes a second record. The ledgers must be
+// equal as multisets of records (worker order permutes them; wall time is
+// the only field allowed to differ).
+func TestLedgerIndependentOfWorkers(t *testing.T) {
+	p := mustProgram(t, "crc")
+	// One duplicate request, so the hit path is exercised at every -j.
+	dup := func(rc *runCache) (*Report, error) {
+		for _, kind := range []systems.Kind{systems.KindNACHO, systems.KindVolatile, systems.KindNACHO} {
+			if _, err := rc.get(p, kind, DefaultRunConfig()); err != nil {
+				return nil, err
+			}
+		}
+		return &Report{Title: "duplicate request"}, nil
+	}
+	fig5crc := func(rc *runCache) (*Report, error) { return fig5(rc, []string{"crc"}) }
+	hitsRe := regexp.MustCompile(`\((\d+) cache hits\)`)
+
+	type outcome struct {
+		records []string
+		hits    []string
+	}
+	run := func(workers int) outcome {
+		prevWorkers := SetWorkers(workers)
+		defer SetWorkers(prevWorkers)
+		var buf bytes.Buffer
+		l := telemetry.NewLedger(&buf)
+		prevLedger := telemetry.SetActiveLedger(l)
+		defer telemetry.SetActiveLedger(prevLedger)
+		var out outcome
+		for _, build := range []func(*runCache) (*Report, error){dup, fig5crc} {
+			rep, err := regenerate(build)
+			if err != nil {
+				t.Fatalf("-j%d: %v", workers, err)
+			}
+			m := hitsRe.FindStringSubmatch(rep.Timing)
+			if m == nil {
+				t.Fatalf("-j%d: no hit count in Timing %q", workers, rep.Timing)
+			}
+			out.hits = append(out.hits, m[1])
+		}
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		recs, _, err := telemetry.ReadLedger(&buf)
+		if err != nil {
+			t.Fatalf("-j%d: read ledger: %v", workers, err)
+		}
+		for _, r := range recs {
+			r.WallMicros = 0
+			out.records = append(out.records, fmt.Sprintf("%+v", r))
+		}
+		sort.Strings(out.records)
+		return out
+	}
+	seq, par := run(1), run(2)
+	if want := []string{"1", "0"}; strings.Join(seq.hits, ",") != strings.Join(want, ",") {
+		t.Errorf("-j1 cache hits = %v, want %v", seq.hits, want)
+	}
+	if strings.Join(seq.hits, ",") != strings.Join(par.hits, ",") {
+		t.Errorf("cache hits differ: -j1 %v, -j2 %v", seq.hits, par.hits)
+	}
+	if len(seq.records) != len(par.records) {
+		t.Fatalf("ledger records: -j1 %d, -j2 %d", len(seq.records), len(par.records))
+	}
+	for i := range seq.records {
+		if seq.records[i] != par.records[i] {
+			t.Fatalf("ledgers differ:\n  -j1: %s\n  -j2: %s", seq.records[i], par.records[i])
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ package power
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -93,7 +94,8 @@ type Uniform struct {
 }
 
 // NewUniform creates a seeded random schedule with on-durations in
-// [min, max] cycles.
+// [min, max] cycles. It requires min <= max and max-min < math.MaxInt64;
+// ParseKey rejects keys outside that range with an error.
 func NewUniform(min, max uint64, seed int64) *Uniform {
 	u := &Uniform{Min: min, Max: max, Seed: seed}
 	u.Reset()
@@ -279,6 +281,14 @@ func ParseKey(key string) (Schedule, error) {
 		seed, err := strconv.ParseInt(fields[2], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("power: malformed schedule key %q: bad seed %q", key, fields[2])
+		}
+		// draw samples the span with rand.Int63n, which needs
+		// 0 < max-min+1 <= MaxInt64.
+		if min > max {
+			return nil, fmt.Errorf("power: invalid schedule key %q: uniform min %d exceeds max %d", key, min, max)
+		}
+		if max-min >= math.MaxInt64 {
+			return nil, fmt.Errorf("power: invalid schedule key %q: uniform span %d-%d exceeds %d cycles", key, min, max, uint64(math.MaxInt64-1))
 		}
 		return NewUniform(min, max, seed), nil
 	case "at":

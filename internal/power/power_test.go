@@ -1,6 +1,9 @@
 package power
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestNone(t *testing.T) {
 	if (None{}).NextFailureAfter(0) != NoFailure {
@@ -443,9 +446,69 @@ func TestParseKeyRoundTrip(t *testing.T) {
 	if sched, err := ParseKey("uniform(3,29,-7)"); err != nil || sched.Key() != "uniform(3,29,-7)" {
 		t.Errorf("negative seed: got %v, %v", sched, err)
 	}
-	for _, bad := range []string{"periodic", "periodic(", "periodic(x)", "periodic(1,2)", "uniform(1,2)", "at(1,)", "warp(9)", "periodic(1)x"} {
-		if _, err := ParseKey(bad); err == nil {
-			t.Errorf("ParseKey(%q) accepted a malformed key", bad)
-		}
+}
+
+// TestParseKeyErrors pins ParseKey's error paths: every malformed or
+// out-of-range key is rejected with a diagnostic naming the problem, never a
+// panic. Keys arrive over the job service, so an unchecked uniform span must
+// not reach rand.Int63n.
+func TestParseKeyErrors(t *testing.T) {
+	tests := []struct {
+		desc, in, want string
+	}{
+		{"no argument list", "periodic", "malformed schedule key"},
+		{"unterminated argument list", "periodic(", "malformed schedule key"},
+		{"trailing garbage", "periodic(1)x", "malformed schedule key"},
+		{"non-integer period", "periodic(x)", `bad integer "x"`},
+		{"periodic arity", "periodic(1,2)", "periodic wants 1 argument"},
+		{"uniform arity", "uniform(1,2)", "uniform wants 3 arguments"},
+		{"negative bound", "uniform(-1,2,3)", `bad integer "-1"`},
+		{"bad seed", "uniform(1,2,x)", `bad seed "x"`},
+		{"empty instant", "at(1,)", `bad integer ""`},
+		{"unknown schedule", "warp(9)", "unknown schedule key"},
+		{"uniform min above max", "uniform(100,10,1)", "uniform min 100 exceeds max 10"},
+		{"uniform span overflows", "uniform(0,18446744073709551615,1)", "uniform span 0-18446744073709551615 exceeds"},
+		{"uniform span one past int63", "uniform(0,9223372036854775807,1)", "uniform span"},
 	}
+	for _, tt := range tests {
+		t.Run(tt.desc, func(t *testing.T) {
+			sched, err := ParseKey(tt.in)
+			if err == nil {
+				t.Fatalf("ParseKey(%q) = %v, want an error containing %q", tt.in, sched.Key(), tt.want)
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Fatalf("ParseKey(%q) error %q does not contain %q", tt.in, err, tt.want)
+			}
+		})
+	}
+	// The widest accepted span sits right at the rand.Int63n limit.
+	if _, err := ParseKey("uniform(1,9223372036854775807,1)"); err != nil {
+		t.Errorf("widest valid uniform span rejected: %v", err)
+	}
+}
+
+// FuzzParseKey: ParseKey never panics, and every key it accepts
+// canonicalizes to a Key() fixed point — the property a worker rebuilding a
+// schedule from a serialized run spec relies on.
+func FuzzParseKey(f *testing.F) {
+	for _, seed := range []string{
+		"", "none", "periodic(5)", "uniform(3,29,-7)", "at(9,3,3)", "at()",
+		"uniform(100,10,1)", "uniform(0,18446744073709551615,1)", "periodic(1)x",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, key string) {
+		sched, err := ParseKey(key)
+		if err != nil {
+			return
+		}
+		canon := sched.Key()
+		again, err := ParseKey(canon)
+		if err != nil {
+			t.Fatalf("ParseKey(%q) accepted, but its key %q is rejected: %v", key, canon, err)
+		}
+		if again.Key() != canon {
+			t.Fatalf("key %q is not a fixed point: %q -> %q", key, canon, again.Key())
+		}
+	})
 }

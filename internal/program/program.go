@@ -87,10 +87,9 @@ type Program struct {
 // Source returns the complete assembly source.
 func (p *Program) Source() string { return header + p.source }
 
-// Image is an assembled, decoded, and pre-analyzed benchmark ready to load
-// into a machine. Text carries the batched-execution analysis alongside the
-// instructions; it is computed once here and shared by every run of the
-// image.
+// Image is an assembled, decoded, and compiled benchmark ready to load into
+// a machine. Text carries the AOT-compiled IR alongside the instructions; it
+// is computed once here and shared by every run of the image.
 type Image struct {
 	Program  *Program
 	Segments []asm.Segment

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
@@ -120,5 +121,42 @@ func TestHistogramQuantileMax(t *testing.T) {
 	h.Observe(5000)
 	if got := h.Quantile(1); got != 5000 {
 		t.Errorf("Quantile(1) after outlier = %v, want 5000", got)
+	}
+}
+
+// TestHistogramQuantileProperties checks the quantile estimate over random
+// bucket layouts and random samples: p50 <= p95 <= max, and the estimate is
+// monotone in q and never exceeds the exact maximum.
+func TestHistogramQuantileProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		bounds := make([]uint64, 1+rng.Intn(12))
+		b := uint64(0)
+		for i := range bounds {
+			b += 1 + uint64(rng.Int63n(1<<uint(1+rng.Intn(20))))
+			bounds[i] = b
+		}
+		h := NewHistogram(bounds)
+		// Samples from a random sub-range, so they often cluster low in a
+		// wide bucket (the case interpolation used to overshoot).
+		lo := uint64(rng.Int63n(int64(b) + 1))
+		span := 1 + uint64(rng.Int63n(int64(b)+1))
+		n := 1 + rng.Intn(200)
+		for i := 0; i < n; i++ {
+			h.Observe(lo + uint64(rng.Int63n(int64(span))))
+		}
+		max := float64(h.Max())
+		p50, p95 := h.Quantile(0.5), h.Quantile(0.95)
+		if !(p50 <= p95 && p95 <= max) {
+			t.Fatalf("trial %d (bounds %v, %d samples): p50 %v, p95 %v, max %v", trial, bounds, n, p50, p95, max)
+		}
+		prev := h.Quantile(0)
+		for q := 0.01; q <= 1.0001; q += 0.01 {
+			v := h.Quantile(q)
+			if v < prev || v > max {
+				t.Fatalf("trial %d (bounds %v): Quantile(%.2f) = %v after %v (max %v)", trial, bounds, q, v, prev, max)
+			}
+			prev = v
+		}
 	}
 }

@@ -104,10 +104,13 @@ func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 func (h *Histogram) Max() uint64 { return h.max.Load() }
 
 // Quantile estimates the q-th quantile (q in [0,1]) by linear interpolation
-// within the bucket that contains it, the standard Prometheus estimation. The
-// +Inf bucket is clamped to the exact tracked maximum, so Quantile(1) — and
-// any quantile landing beyond the last finite bound — is exact rather than
-// unbounded. Returns 0 when nothing has been observed.
+// within the bucket that contains it, the standard Prometheus estimation,
+// clamped to the exact tracked maximum: interpolation runs up to the bucket's
+// upper bound, which may lie well above every observation, and a quantile
+// above Max would be a number no observation reached. Quantile(1) — and any
+// quantile landing beyond the last finite bound — is therefore exact rather
+// than unbounded, and the estimate is monotone in q. Returns 0 when nothing
+// has been observed.
 func (h *Histogram) Quantile(q float64) float64 {
 	total := h.Count()
 	if total == 0 {
@@ -130,7 +133,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 			}
 			hi := float64(bound)
 			frac := (rank - float64(cum)) / float64(c)
-			return lo + (hi-lo)*frac
+			return math.Min(lo+(hi-lo)*frac, float64(h.Max()))
 		}
 		cum += c
 	}
